@@ -110,6 +110,10 @@ func (g *Gateway) newAdmissionQueueLocked(s *shard) *admission.Queue {
 	})
 }
 
+// maxDeadlineMs is the largest DeadlineHeader value a time.Duration
+// can hold (about 292 years); larger values would wrap.
+const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
+
 // requestDeadline resolves a request's absolute deadline: the
 // DeadlineHeader override when present, else the configured default;
 // zero time means none.
@@ -117,8 +121,8 @@ func (g *Gateway) requestDeadline(r *http.Request, start time.Time) (time.Time, 
 	d := g.adm.DefaultDeadline
 	if h := r.Header.Get(DeadlineHeader); h != "" {
 		ms, err := strconv.ParseInt(h, 10, 64)
-		if err != nil || ms < 0 {
-			return time.Time{}, fmt.Errorf("live: bad %s %q (want non-negative milliseconds)", DeadlineHeader, h)
+		if err != nil || ms < 0 || ms > maxDeadlineMs {
+			return time.Time{}, fmt.Errorf("live: bad %s %q (want 0..%d milliseconds)", DeadlineHeader, h, maxDeadlineMs)
 		}
 		d = time.Duration(ms) * time.Millisecond
 	}

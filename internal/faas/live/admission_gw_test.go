@@ -536,7 +536,7 @@ func TestBadDeadlineHeaderRejected(t *testing.T) {
 	}
 	defer g.Stop()
 
-	for _, bad := range []string{"soon", "-5", "1.5"} {
+	for _, bad := range []string{"soon", "-5", "1.5", "18446744073710"} {
 		resp, err := postTenant(base, "f", "", "x", map[string]string{DeadlineHeader: bad})
 		if err != nil {
 			t.Fatal(err)

@@ -135,7 +135,8 @@ func (g *Gateway) EnableColdPath(cfg ColdPathConfig) {
 type bootMode uint8
 
 const (
-	// bootWarm reused an idle instance from the warm pool.
+	// bootWarm reused an idle instance from the warm pool, or one its
+	// function's previous request handed over on release (a park).
 	bootWarm bootMode = iota
 	// bootRented leased an idle instance from another function: volume
 	// wipe + re-specialization + app init (plus any image-layer delta).
@@ -173,6 +174,9 @@ type bootInfo struct {
 	wipe time.Duration
 	// skippedMB is the image download avoided by layer-cache hits.
 	skippedMB float64
+	// park is the outcome of the request's wait in the park queue
+	// (parkHanded, parkTimeout, parkCanceled), "" when it never parked.
+	park string
 }
 
 // bootPhases is one function's resolved phase split plus its image,
@@ -190,20 +194,25 @@ type bootPhases struct {
 // time as the old monolithic sleep).
 func (g *Gateway) phasesFor(fn Function) bootPhases {
 	var ph bootPhases
-	if fn.Pull > 0 || fn.RuntimeInit > 0 || fn.AppInit > 0 {
-		ph.pull, ph.runtime, ph.app = fn.Pull, fn.RuntimeInit, fn.AppInit
-	} else {
-		cs := fn.ColdStart
-		ph.pull = time.Duration(g.cold.pullFrac * float64(cs))
-		ph.runtime = time.Duration(g.cold.runtimeFrac * float64(cs))
-		ph.app = cs - ph.pull - ph.runtime
-	}
+	ph.pull, ph.runtime, ph.app = g.splitPhases(fn)
 	if fn.Image != "" && g.cold.registry != nil {
 		if im, err := g.cold.registry.Lookup(fn.Image); err == nil {
 			ph.im, ph.hasImage = im, true
 		}
 	}
 	return ph
+}
+
+// splitPhases is phasesFor without the image lookup: the three phase
+// delays alone, cheap enough to evaluate under a shard lock.
+func (g *Gateway) splitPhases(fn Function) (pull, runtime, app time.Duration) {
+	if fn.Pull > 0 || fn.RuntimeInit > 0 || fn.AppInit > 0 {
+		return fn.Pull, fn.RuntimeInit, fn.AppInit
+	}
+	cs := fn.ColdStart
+	pull = time.Duration(g.cold.pullFrac * float64(cs))
+	runtime = time.Duration(g.cold.runtimeFrac * float64(cs))
+	return pull, runtime, cs - pull - runtime
 }
 
 // pullCost resolves the pull/unpack delay for one boot. With an image

@@ -214,6 +214,8 @@ func TestReclaimMemoryReapsGenericsFirst(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("prime: status %d", rec.Code)
 	}
+	// The prime specialized a generic; its refill boots asynchronously.
+	waitIdleGenerics(t, g, 2)
 
 	if n := g.reclaimMemoryOnce(); n != 2 {
 		t.Fatalf("reclaimMemoryOnce = %d, want exactly the 2 generics", n)
@@ -260,6 +262,8 @@ func TestReclaimMemorySpillsPastGenerics(t *testing.T) {
 	if got := g.WarmInstances("f"); got != 2 {
 		t.Skipf("warm instances = %d, want 2 (requests did not overlap)", got)
 	}
+	// A request specialized the generic; its refill boots asynchronously.
+	waitIdleGenerics(t, g, 1)
 
 	// total = 2 warm + 1 generic = 3, budget 1: the generic goes, then
 	// one warm instance.

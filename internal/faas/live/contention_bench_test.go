@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -117,7 +118,7 @@ func benchGatewayHotPath(b *testing.B, workers, fns int) {
 					b.Error("breaker open")
 					return
 				}
-				inst, boot, err := g.acquire(s)
+				inst, boot, err := g.acquire(context.Background(), s)
 				if err != nil {
 					b.Error(err)
 					return

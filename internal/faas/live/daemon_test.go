@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -160,7 +161,17 @@ func TestWarmCapEnforcedContinuously(t *testing.T) {
 	// release evicts the oldest idle instance instead of growing past
 	// the limit.
 	d, base := startDaemon(t, PoolConfig{MaxIdlePerFunction: 2, ReapInterval: time.Hour})
-	if err := d.Deploy(DeploySpec{Name: "s", Handler: "echo"}); err != nil {
+	// Every handler waits at a barrier until all four have arrived, so
+	// the four concurrent requests hold four distinct instances at once
+	// instead of a fast one freeing its instance for the next.
+	var arrived sync.WaitGroup
+	arrived.Add(4)
+	barrier := func(b []byte) ([]byte, error) {
+		arrived.Done()
+		arrived.Wait()
+		return b, nil
+	}
+	if err := d.gw.Register(Function{Name: "s", Handler: barrier}); err != nil {
 		t.Fatal(err)
 	}
 	// Four concurrent requests run on four distinct instances; as each

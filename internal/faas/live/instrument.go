@@ -29,6 +29,11 @@ type instruments struct {
 	ctlTicks    *obs.Counter  // hotc_ctl_ticks_total
 	poolRetired *obs.Counter  // hotc_pool_retired_total
 
+	// Parking families (hotc_pool_park_*): warm misses that waited for
+	// their own function's busy instance, by outcome, and their waits.
+	park     *obs.CounterVec // hotc_pool_park_total{outcome}
+	parkWait *obs.Histogram  // hotc_pool_park_wait_ms
+
 	// bodyBytes tracks response bytes streamed to clients, recorded
 	// from the copy loop's running count — the gateway never buffers a
 	// body just to measure it.
@@ -81,6 +86,10 @@ type instruments struct {
 	coldPhasePull    *obs.Histogram
 	coldPhaseRuntime *obs.Histogram
 	coldPhaseApp     *obs.Histogram
+
+	parkHanded   *obs.Counter
+	parkTimeout  *obs.Counter
+	parkCanceled *obs.Counter
 
 	shareLeaseGranted     *obs.Counter
 	shareLeaseNoCandidate *obs.Counter
@@ -178,6 +187,12 @@ func (g *Gateway) Instrument(reg *obs.Registry) {
 			"Control loop ticks executed."),
 		poolRetired: reg.Counter("hotc_pool_retired_total",
 			"Containers stopped by scale-down, cap eviction or keep-alive expiry."),
+		park: reg.CounterVec("hotc_pool_park_total",
+			"Warm misses parked behind their function's busy instance, by outcome (handed = served by that instance, timeout = fell through to a boot, canceled = client, deadline or stop).",
+			"outcome"),
+		parkWait: reg.Histogram("hotc_pool_park_wait_ms",
+			"Time parked warm misses waited for a hand-off, in milliseconds.",
+			obs.DefaultLatencyBucketsMS()),
 		bodyBytes: reg.Histogram("hotc_gateway_body_bytes",
 			"Response bytes streamed through the gateway per request.",
 			obs.DefaultBodySizeBuckets()),
@@ -246,6 +261,9 @@ func (g *Gateway) Instrument(reg *obs.Registry) {
 	ins.coldPhasePull = ins.coldPhase.With("pull")
 	ins.coldPhaseRuntime = ins.coldPhase.With("runtime_init")
 	ins.coldPhaseApp = ins.coldPhase.With("app_init")
+	ins.parkHanded = ins.park.With(parkHanded)
+	ins.parkTimeout = ins.park.With(parkTimeout)
+	ins.parkCanceled = ins.park.With(parkCanceled)
 	ins.shareLeaseGranted = ins.shareLeases.With("granted")
 	ins.shareLeaseNoCandidate = ins.shareLeases.With("no_candidate")
 	ins.shareLeaseDenied = ins.shareLeases.With("denied_policy")
@@ -260,6 +278,18 @@ func (g *Gateway) Instrument(reg *obs.Registry) {
 	}
 	for _, s := range g.snapshotShards() {
 		s.m.Store(ins.forFunction(s.name))
+	}
+}
+
+// parkOutcome resolves a park outcome's pre-resolved counter.
+func (ins *instruments) parkOutcome(outcome string) *obs.Counter {
+	switch outcome {
+	case parkHanded:
+		return ins.parkHanded
+	case parkTimeout:
+		return ins.parkTimeout
+	default:
+		return ins.parkCanceled
 	}
 }
 

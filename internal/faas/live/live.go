@@ -38,6 +38,7 @@ package live
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -116,6 +117,9 @@ type instance struct {
 	// idleSince is when the instance last returned to the warm pool
 	// (set under the shard lock; read by the janitor).
 	idleSince time.Time
+	// handedAt is when the instance was last handed to a request (set
+	// under the shard lock): release measures the service time from it.
+	handedAt time.Time
 	// tainted marks an instance claimed by an inter-function lease:
 	// from the moment it is set the instance must never be lent again
 	// or re-enter any idle list under its former function. The lease
@@ -271,6 +275,9 @@ type Stats struct {
 	// Canceled counts requests abandoned mid-flight or mid-queue by
 	// client disconnect or deadline expiry.
 	Canceled int
+	// Parked counts the subset of Reused served by waiting for the
+	// function's own busy instance instead of booting a duplicate.
+	Parked int
 }
 
 // add accumulates another shard's deltas.
@@ -284,6 +291,7 @@ func (s *Stats) add(o Stats) {
 	s.Retired += o.Retired
 	s.Expired += o.Expired
 	s.Canceled += o.Canceled
+	s.Parked += o.Parked
 }
 
 // shard is one function's slice of the gateway: everything a request
@@ -298,6 +306,16 @@ type shard struct {
 	fn Function
 	// idle is the warm pool, oldest first; reuse pops from the tail.
 	idle []*instance
+	// serving counts instances handed to requests and not yet released
+	// or discarded; instances still booting are not counted.
+	serving int
+	// svc is the EWMA of hand-out → release over completed requests
+	// (0 = none measured yet): the bound on a parked request's wait.
+	svc time.Duration
+	// parked queues the hand-off channels of warm misses waiting for a
+	// serving instance, oldest first; release hands to parked[0] before
+	// the idle list.
+	parked []chan *instance
 	// stats are this function's deltas; Gateway.Stats sums shards.
 	stats Stats
 	// breaker guards the function when breaking is armed (lazy).
@@ -640,10 +658,13 @@ func (g *Gateway) WarmInstances(name string) int {
 	return len(s.idle)
 }
 
-// acquire returns a warm instance or boots a new one (via the generic
-// pre-forked pool when armed), tracking in-flight demand for the
-// controller.
-func (g *Gateway) acquire(s *shard) (*instance, bootInfo, error) {
+// acquire returns a warm instance, parks behind the function's busy
+// one, or boots a new one (renting another function's idle instance
+// or specializing a pre-forked generic when armed), tracking in-flight
+// demand for the controller. A request canceled or stopped while
+// parked returns the context or stop error with its demand accounting
+// already closed.
+func (g *Gateway) acquire(ctx context.Context, s *shard) (*instance, bootInfo, error) {
 	s.mu.Lock()
 	fn := s.fn
 	s.ctl.inFlight++
@@ -655,38 +676,58 @@ func (g *Gateway) acquire(s *shard) (*instance, bootInfo, error) {
 		s.idle = s.idle[:n-1]
 		s.stats.Reused++
 		s.stats.Requests++
+		s.handOutLocked(inst)
 		s.syncWarmLocked()
 		s.mu.Unlock()
 		return inst, bootInfo{mode: bootWarm}, nil
+	}
+
+	// Park tier: when the function's own instance will be free sooner
+	// than the cheapest boot could finish, wait for it.
+	var park string
+	if wait := g.parkWaitLocked(s, fn); wait > 0 {
+		ch := make(chan *instance, 1)
+		s.parked = append(s.parked, ch)
+		s.mu.Unlock()
+		inst, outcome, err := g.awaitHandoff(ctx, s, ch, wait)
+		if outcome != parkTimeout {
+			return inst, bootInfo{mode: bootWarm, park: outcome}, err
+		}
+		park = outcome
+		s.mu.Lock()
 	}
 	s.stats.ColdStarts++
 	s.stats.Requests++
 	s.mu.Unlock()
 
 	// Sharing tier: before paying any boot, try renting an idle
-	// instance from another function (wipe + re-specialize + app
-	// init) — strictly cheaper than a generic handoff when the
-	// runtimes match, because the runtime AND pull shares are already
-	// in place.
+	// instance from another function. The lease spends a volume wipe
+	// to consume the lender's idle instance instead of a generic; the
+	// runtime and, same-image, the pull shares are already in place.
+	var inst *instance
+	var info bootInfo
 	if g.share.enabled {
-		if inst, info, ok := g.leaseInstance(s, fn); ok {
-			s.mu.Lock()
-			s.stats.RentedBoots++
-			s.mu.Unlock()
-			return inst, info, nil
+		inst, info = g.leaseInstance(s, fn)
+	}
+	if inst == nil {
+		var err error
+		inst, info, err = g.bootInstance(fn) // cold boot outside the lock
+		if err != nil {
+			g.decInFlight(s)
+			info.park = park
+			return nil, info, err
 		}
 	}
-
-	inst, info, err := g.bootInstance(fn) // cold boot outside the lock
-	if err != nil {
-		g.decInFlight(s)
-		return nil, info, err
-	}
-	if info.mode == bootGeneric {
-		s.mu.Lock()
+	info.park = park
+	s.mu.Lock()
+	s.handOutLocked(inst)
+	switch info.mode {
+	case bootRented:
+		s.stats.RentedBoots++
+	case bootGeneric:
 		s.stats.GenericHandoffs++
-		s.mu.Unlock()
 	}
+	s.mu.Unlock()
 	return inst, info, nil
 }
 
@@ -705,19 +746,39 @@ func (g *Gateway) decInFlight(s *shard) {
 	s.mu.Unlock()
 }
 
-// release returns the instance to the warm pool, enforcing the warm
-// cap with oldest-first eviction — or tears it down when reuse is off
-// or the gateway already stopped (an in-flight request that outlives
-// Stop must not leak its watchdog into a dead pool).
+// release ends a completed request: its service time feeds the park
+// bound and the instance is re-pooled (see repoolLocked).
 func (g *Gateway) release(s *shard, inst *instance) {
 	s.mu.Lock()
 	if s.ctl.inFlight > 0 {
 		s.ctl.inFlight--
 	}
+	s.noteServiceLocked(time.Since(inst.handedAt))
+	doomed := g.repoolLocked(s, inst)
+	s.mu.Unlock()
+	if doomed != nil {
+		doomed.stop()
+	}
+}
+
+// repoolLocked takes back an instance a request held: straight to the
+// oldest parked request if one waits, else onto the warm pool under
+// the warm cap with oldest-first eviction. It returns the instance the
+// caller must stop once s.mu is released — a cap eviction, or inst
+// itself when reuse is off or the gateway already stopped (an
+// in-flight request that outlives Stop must not leak its watchdog into
+// a dead pool) — or nil. Caller holds s.mu.
+func (g *Gateway) repoolLocked(s *shard, inst *instance) *instance {
+	s.serving--
 	if !g.reuse || g.stopped.Load() {
-		s.mu.Unlock()
-		inst.stop()
-		return
+		return inst
+	}
+	if len(s.parked) > 0 {
+		ch := s.parked[0]
+		s.unparkLocked(ch)
+		s.handOutLocked(inst)
+		ch <- inst
+		return nil
 	}
 	var evict *instance
 	if g.ctl.MaxWarm > 0 && len(s.idle) >= g.ctl.MaxWarm {
@@ -732,20 +793,20 @@ func (g *Gateway) release(s *shard, inst *instance) {
 	inst.idleSince = g.nowFn()
 	s.idle = append(s.idle, inst)
 	s.syncWarmLocked()
-	s.mu.Unlock()
-	if evict != nil {
-		evict.stop()
-	}
+	return evict
 }
 
-// discard ends a request whose instance is suspect (boot or transport
-// failure): demand accounting is closed and the instance, if any, is
-// torn down rather than re-pooled.
+// discard ends a request whose instance is suspect (transport
+// failure): demand accounting is closed and the instance is torn down
+// rather than re-pooled.
 func (g *Gateway) discard(s *shard, inst *instance) {
-	g.decInFlight(s)
-	if inst != nil {
-		inst.stop()
+	s.mu.Lock()
+	if s.ctl.inFlight > 0 {
+		s.ctl.inFlight--
 	}
+	s.serving--
+	s.mu.Unlock()
+	inst.stop()
 }
 
 func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
@@ -849,9 +910,26 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 	ctx, cancelCtx := withDeadline(r, deadline)
 	defer cancelCtx()
 
-	inst, boot, err := g.acquire(s)
+	inst, boot, err := g.acquire(ctx, s)
 	reused := boot.mode == bootWarm
 	rt.reused = reused
+	if boot.park != "" {
+		g.traceEvent(&rt, "parked", boot.park)
+	}
+	if err != nil && boot.park == parkCanceled {
+		// The request left the park queue without an instance: a
+		// client disconnect or deadline (nobody to blame), or Stop.
+		if errors.Is(err, errGatewayStopped) {
+			s.observe("rejected", start)
+			w.Header().Set(RejectedHeader, string(admission.ReasonStopped))
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			g.finishRequest(s, &rt, http.StatusServiceUnavailable, "")
+			return
+		}
+		status := g.cancelUpstream(w, r, s, &rt, false, start)
+		g.finishRequest(s, &rt, status, "")
+		return
+	}
 	if err != nil {
 		g.breakerFailure(s, "boot.failures")
 		s.observe("error", start)

@@ -86,8 +86,8 @@ func candidateOf(fn Function) sharing.Candidate {
 }
 
 // leaseInstance tries to rent an idle instance from another function's
-// warm pool: the third acquisition tier, between the relaxed warm pool
-// and the generic prefork handoff. It scans classified lenders first
+// warm pool: the acquisition tier after the warm pool and parking,
+// before the generic prefork handoff. It scans classified lenders first
 // (they reserve nothing), then neutral shards (which lend only surplus
 // above their own forecast — a fresh function with no classification
 // history can still rent, which is what makes the very first cold
@@ -100,8 +100,10 @@ func candidateOf(fn Function) sharing.Candidate {
 // image-layer delta (zero on a same-image lease) plus the renter's app
 // init. The tainted lender-side instance struct is abandoned — it can
 // never re-enter any idle list — and the renter gets a fresh clean
-// instance around the same watchdog.
-func (g *Gateway) leaseInstance(renter *shard, fn Function) (*instance, bootInfo, bool) {
+// instance around the same watchdog. A nil instance means no lease:
+// counted as denied when the renter opted out or no other shard was
+// policy-compatible, else as no candidate.
+func (g *Gateway) leaseInstance(renter *shard, fn Function) (*instance, bootInfo) {
 	rc := candidateOf(fn)
 	ins := g.obs.Load()
 	if !rc.Shareable {
@@ -109,12 +111,12 @@ func (g *Gateway) leaseInstance(renter *shard, fn Function) (*instance, bootInfo
 		if ins != nil {
 			ins.shareLeaseDenied.Inc()
 		}
-		return nil, bootInfo{}, false
+		return nil, bootInfo{}
 	}
 	now := g.nowFn()
 	var lend *instance
 	var lenderFn Function
-	sawDenial := false
+	sawDenial, sawCompatible := false, false
 	shards := g.snapshotShards()
 scan:
 	for pass := 0; pass < 2; pass++ {
@@ -135,6 +137,7 @@ scan:
 				s.mu.Unlock()
 				continue
 			}
+			sawCompatible = true
 			// A neutral shard keeps its own forecast's worth of warm
 			// instances; a classified lender has demonstrably more than
 			// it needs and reserves nothing.
@@ -160,7 +163,7 @@ scan:
 		}
 	}
 	if lend == nil {
-		if sawDenial {
+		if sawDenial && !sawCompatible {
 			g.share.denied.Add(1)
 			if ins != nil {
 				ins.shareLeaseDenied.Inc()
@@ -171,7 +174,7 @@ scan:
 				ins.shareLeaseNoCandidate.Inc()
 			}
 		}
-		return nil, bootInfo{}, false
+		return nil, bootInfo{}
 	}
 
 	// The lease: wipe, re-specialize, pay the renter-specific boot
@@ -201,7 +204,7 @@ scan:
 		ins.shareLeaseGranted.Inc()
 	}
 	g.observeBoot(info)
-	return &instance{fn: fn, wd: wd, addr: wd.Addr()}, info, true
+	return &instance{fn: fn, wd: wd, addr: wd.Addr()}, info
 }
 
 // shareRoleTransition updates the lender/renter population counters
@@ -239,7 +242,8 @@ type SharingStats struct {
 	LeasesNoCandidate uint64 `json:"leasesNoCandidate"`
 	LeasesDenied      uint64 `json:"leasesDenied"`
 	// RentedBoots counts requests served by a rented zygote (the
-	// per-shard sum; equals LeasesGranted minus controller prewarms).
+	// per-shard sum; controller prewarms never lease, so it equals
+	// LeasesGranted).
 	RentedBoots int `json:"rentedBoots"`
 	// Roles maps each function to its current classification.
 	Roles map[string]string `json:"roles,omitempty"`

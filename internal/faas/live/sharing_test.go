@@ -409,3 +409,38 @@ func TestSharingChurnRace(t *testing.T) {
 		t.Fatalf("LeasesGranted(%d) != RentedBoots(%d)", sh.LeasesGranted, st.RentedBoots)
 	}
 }
+
+// A failed lease is a policy denial only when no other shard was
+// compatible: beside a compatible lender with nothing to lend, an
+// incompatible shard holding idle instances does not turn the miss
+// into denied_policy.
+func TestLeaseNoCandidateBesideIncompatibleShard(t *testing.T) {
+	g := NewGateway(true)
+	g.EnableSharing(testSharing())
+	py := func(name string) Function {
+		fn := echoFn(name, 20*time.Millisecond)
+		fn.Image = "python:3.8"
+		return fn
+	}
+	node := echoFn("node", 20*time.Millisecond)
+	node.Image = "node:10"
+	for _, fn := range []Function{py("renter"), py("empty"), node} {
+		if err := g.Register(fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer g.Stop()
+
+	postRec(t, g, "node", "a") // idle, but cross-image
+	before := g.SharingStats()
+	if rec := postRec(t, g, "renter", "b"); rec.Header().Get(BootHeader) != "cold" {
+		t.Fatalf("boot = %q, want cold (nothing compatible to rent)", rec.Header().Get(BootHeader))
+	}
+	after := g.SharingStats()
+	if d := after.LeasesNoCandidate - before.LeasesNoCandidate; d != 1 {
+		t.Fatalf("LeasesNoCandidate +%d, want +1", d)
+	}
+	if d := after.LeasesDenied - before.LeasesDenied; d != 0 {
+		t.Fatalf("LeasesDenied +%d, want +0", d)
+	}
+}

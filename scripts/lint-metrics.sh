@@ -32,7 +32,8 @@ for fam in hotc_trace_kept_total hotc_trace_sampled_out_total \
            hotc_coldpath_generic_reaped_total \
            hotc_coldpath_pull_skipped_mb_total \
            hotc_share_leases_total hotc_share_lenders \
-           hotc_share_renters hotc_share_boot_phase_ms; do
+           hotc_share_renters hotc_share_boot_phase_ms \
+           hotc_pool_park_total hotc_pool_park_wait_ms; do
     if ! grep -rq --include='*.go' --exclude='*_test.go' "\"$fam\"" cmd internal; then
         echo "lint-metrics: required metric family $fam is not registered anywhere" >&2
         exit 1

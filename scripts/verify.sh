@@ -11,6 +11,11 @@ echo "== go test -race"
 go test -race ./...
 echo "== goroutine-leak check (live gateway)"
 HOTC_LEAKCHECK=1 go test -race -count=1 ./internal/faas/live/
+echo "== flake sweep (live gateway, 20 runs)"
+# The live gateway's tests run on real sockets and goroutines; a test
+# that depends on scheduling order fails here rather than one CI run
+# in five.
+go test -count=20 ./internal/faas/live/
 echo "== contention bench smoke (1 iteration)"
 # The contention suite's benchmarks (BenchmarkGatewayParallel,
 # BenchmarkObsHotPath) compile and run one iteration each so bit-rot in
