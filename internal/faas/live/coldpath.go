@@ -235,27 +235,58 @@ func (g *Gateway) pullCost(ph bootPhases) (time.Duration, float64) {
 	return time.Duration(float64(ph.pull) * added / total), skipped
 }
 
+// genericPull is the pull a generic handoff of fn would pay right now:
+// its image's pull phase scaled by the megabytes missing from the layer
+// cache, read without admitting anything (the full phase with no
+// cache, zero with no image). The acquisition ladder compares it with
+// the lease's volume wipe to order its cold tiers.
+func (g *Gateway) genericPull(fn Function) time.Duration {
+	ph := g.phasesFor(fn)
+	switch {
+	case !ph.hasImage:
+		return 0
+	case g.cold.cache == nil:
+		return ph.pull
+	}
+	total := ph.im.SizeMB()
+	if total <= 0 {
+		return 0
+	}
+	return time.Duration(float64(ph.pull) * g.cold.cache.MissingMB(ph.im) / total)
+}
+
 // bootInstance is the shared cold-boot path for requests and
 // controller prewarms: a generic handoff when the pre-forked pool has
-// an instance ready, else a full cold boot. Either way the pool is
-// asked to refill — a mutex and goroutine spawns only, never a boot on
-// this goroutine.
+// an instance ready, else a full cold boot.
 func (g *Gateway) bootInstance(fn Function) (*instance, bootInfo, error) {
-	if pool := g.cold.pool; pool != nil {
-		if wd := pool.TryAcquire(); wd != nil {
-			pool.Refill()
-			return g.specialize(wd, fn)
-		}
-		pool.Refill()
+	if inst, info := g.takeGeneric(fn); inst != nil {
+		return inst, info, nil
 	}
 	return g.startInstance(fn)
+}
+
+// takeGeneric specializes a ready generic watchdog into fn's instance,
+// or returns nil when prefork is off or no generic is ready. Either way
+// the pool is asked to refill — a mutex and goroutine spawns only,
+// never a boot on this goroutine.
+func (g *Gateway) takeGeneric(fn Function) (*instance, bootInfo) {
+	pool := g.cold.pool
+	if pool == nil {
+		return nil, bootInfo{}
+	}
+	wd := pool.TryAcquire()
+	pool.Refill()
+	if wd == nil {
+		return nil, bootInfo{}
+	}
+	return g.specialize(wd, fn)
 }
 
 // specialize turns a generic watchdog into fn's instance: swap the
 // handler in and pay only the function-specific share of boot — the
 // cache-scaled pull of fn's own layers plus app init. The generic
 // runtime share was pre-paid when the watchdog booted.
-func (g *Gateway) specialize(wd *prefork.Watchdog, fn Function) (*instance, bootInfo, error) {
+func (g *Gateway) specialize(wd *prefork.Watchdog, fn Function) (*instance, bootInfo) {
 	ph := g.phasesFor(fn)
 	wd.Specialize(watchdogHandler(fn, g.maxBody))
 	var pull time.Duration
@@ -268,7 +299,7 @@ func (g *Gateway) specialize(wd *prefork.Watchdog, fn Function) (*instance, boot
 	}
 	info := bootInfo{mode: bootGeneric, pull: pull, app: ph.app, skippedMB: skipped}
 	g.observeBoot(info)
-	return &instance{fn: fn, wd: wd, addr: wd.Addr()}, info, nil
+	return &instance{fn: fn, wd: wd, addr: wd.Addr()}, info
 }
 
 // startInstance pays the full cold boot: listener + server up, then

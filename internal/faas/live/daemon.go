@@ -122,9 +122,9 @@ type PoolConfig struct {
 	// into the §III.B phases for functions without explicit ones. All
 	// zero = the 55/30/15 defaults.
 	BootPullFrac, BootRuntimeFrac, BootAppFrac float64
-	// Share arms inter-function sharing: on a warm miss the gateway
-	// leases an idle instance from another function before paying any
-	// boot.
+	// Share arms inter-function sharing: a warm miss may lease an idle
+	// instance from another function instead of booting one (after a
+	// ready generic, unless the lease is strictly cheaper).
 	Share bool
 	// SharePolicy selects the compatibility rule ("same-image", the
 	// default, or "any"); see sharing.ParseMode. Unknown values fall

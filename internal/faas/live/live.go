@@ -659,8 +659,9 @@ func (g *Gateway) WarmInstances(name string) int {
 }
 
 // acquire returns a warm instance, parks behind the function's busy
-// one, or boots a new one (renting another function's idle instance
-// or specializing a pre-forked generic when armed), tracking in-flight
+// one, or boots a new one: when armed, a ready pre-forked generic
+// unless renting another function's idle instance is strictly
+// cheaper, then the lease, then a full cold boot. It tracks in-flight
 // demand for the controller. A request canceled or stopped while
 // parked returns the context or stop error with its demand accounting
 // already closed.
@@ -700,14 +701,21 @@ func (g *Gateway) acquire(ctx context.Context, s *shard) (*instance, bootInfo, e
 	s.stats.Requests++
 	s.mu.Unlock()
 
-	// Sharing tier: before paying any boot, try renting an idle
-	// instance from another function. The lease spends a volume wipe
-	// to consume the lender's idle instance instead of a generic; the
-	// runtime and, same-image, the pull shares are already in place.
+	// Cold tiers, cheapest modelled boot first. A generic handoff pays
+	// its cache-scaled pull plus app init; a same-image lease pays the
+	// volume wipe plus app init, a cross-image one the same pull plus
+	// the wipe plus app init. So a ready generic goes first unless its
+	// pull exceeds the wipe; then the lease, then bootInstance (a
+	// generic that turned ready meanwhile, else the full cold boot).
 	var inst *instance
 	var info bootInfo
 	if g.share.enabled {
-		inst, info = g.leaseInstance(s, fn)
+		if g.cold.pool != nil && g.genericPull(fn) <= g.share.wipe {
+			inst, info = g.takeGeneric(fn)
+		}
+		if inst == nil {
+			inst, info = g.leaseInstance(s, fn)
+		}
 	}
 	if inst == nil {
 		var err error

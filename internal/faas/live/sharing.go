@@ -18,11 +18,12 @@ const (
 )
 
 // SharingConfig arms Pagurus-style inter-function sharing: on a warm
-// miss, before any boot is paid, the gateway tries to lease an idle
-// instance from another function — wipe its volume, atomically swap
-// the watchdog handler to the renter's, and pay only app init plus any
-// image-layer delta. Call EnableSharing before Start, like the other
-// Enables.
+// miss the gateway may lease an idle instance from another function
+// instead of booting one — wipe its volume, atomically swap the
+// watchdog handler to the renter's, and pay only app init plus any
+// image-layer delta. With prefork armed, a ready generic goes first
+// unless the lease is strictly cheaper (see acquire). Call
+// EnableSharing before Start, like the other Enables.
 type SharingConfig struct {
 	// Policy gates which function pairs may share (same-image by
 	// default; see sharing.ParseMode for the flag values).
@@ -86,14 +87,18 @@ func candidateOf(fn Function) sharing.Candidate {
 }
 
 // leaseInstance tries to rent an idle instance from another function's
-// warm pool: the acquisition tier after the warm pool and parking,
-// before the generic prefork handoff. It scans classified lenders first
-// (they reserve nothing), then neutral shards (which lend only surplus
-// above their own forecast — a fresh function with no classification
-// history can still rent, which is what makes the very first cold
-// start of a new deploy avoidable); renter shards never lend. The
-// chosen instance is the lender's oldest — the one its keep-alive
-// would reclaim first anyway.
+// warm pool: the acquisition tier after the warm pool, parking and —
+// unless a same-image lease is strictly cheaper — the generic prefork
+// handoff. It takes the globally oldest eligible idle instance, the
+// one its keep-alive would reclaim first anyway: first among
+// classified lenders (they reserve nothing), then among neutral shards
+// (which lend only surplus above their own forecast — a fresh function
+// with no classification history can still rent, which is what makes
+// the very first cold start of a new deploy avoidable); renter shards
+// never lend. Equal idle ages go to the shard whose name sorts first,
+// so the choice does not depend on map order. The pick is re-checked
+// under its shard's lock and the scan retried if the shard changed in
+// between.
 //
 // The lease itself runs outside every lock: taint the instance, pay
 // the volume wipe, swap the watchdog handler atomically, pay the
@@ -114,67 +119,33 @@ func (g *Gateway) leaseInstance(renter *shard, fn Function) (*instance, bootInfo
 		return nil, bootInfo{}
 	}
 	now := g.nowFn()
+	shards := g.snapshotShards()
 	var lend *instance
 	var lenderFn Function
-	sawDenial, sawCompatible := false, false
-	shards := g.snapshotShards()
-scan:
-	for pass := 0; pass < 2; pass++ {
-		for _, s := range shards {
-			if s == renter {
-				continue
+	for lend == nil {
+		from, cand, lenders, denied := g.pickLender(renter, rc, shards, now)
+		if cand == nil {
+			if denied {
+				g.share.denied.Add(1)
+				if ins != nil {
+					ins.shareLeaseDenied.Inc()
+				}
+			} else {
+				g.share.noCandidate.Add(1)
+				if ins != nil {
+					ins.shareLeaseNoCandidate.Inc()
+				}
 			}
-			s.mu.Lock()
-			role := s.ctl.share.Role()
-			if role == sharing.RoleRenter ||
-				(pass == 0) != (role == sharing.RoleLender) {
-				s.mu.Unlock()
-				continue
-			}
-			ok, _ := g.share.policy.Compatible(rc, candidateOf(s.fn))
-			if !ok {
-				sawDenial = true
-				s.mu.Unlock()
-				continue
-			}
-			sawCompatible = true
-			// A neutral shard keeps its own forecast's worth of warm
-			// instances; a classified lender has demonstrably more than
-			// it needs and reserves nothing.
-			reserve := 0
-			if role != sharing.RoleLender {
-				reserve = int(math.Ceil(s.ctl.forecast))
-			}
-			if len(s.idle) <= reserve {
-				s.mu.Unlock()
-				continue
-			}
-			inst := s.idle[0] // oldest: reuse pops from the tail
-			if inst.tainted.Load() || now.Sub(inst.idleSince) < g.share.idleGrace {
-				s.mu.Unlock()
-				continue
-			}
-			s.idle = append(s.idle[:0:0], s.idle[1:]...)
-			s.syncWarmLocked()
-			lenderFn = s.fn
-			lend = inst
-			s.mu.Unlock()
-			break scan
+			return nil, bootInfo{}
 		}
-	}
-	if lend == nil {
-		if sawDenial && !sawCompatible {
-			g.share.denied.Add(1)
-			if ins != nil {
-				ins.shareLeaseDenied.Inc()
-			}
-		} else {
-			g.share.noCandidate.Add(1)
-			if ins != nil {
-				ins.shareLeaseNoCandidate.Inc()
-			}
+		from.mu.Lock()
+		if inst, _ := g.lendableLocked(from, rc, lenders, now); inst == cand {
+			from.idle = append(from.idle[:0:0], from.idle[1:]...)
+			from.syncWarmLocked()
+			lenderFn = from.fn
+			lend = cand
 		}
-		return nil, bootInfo{}
+		from.mu.Unlock()
 	}
 
 	// The lease: wipe, re-specialize, pay the renter-specific boot
@@ -205,6 +176,77 @@ scan:
 	}
 	g.observeBoot(info)
 	return &instance{fn: fn, wd: wd, addr: wd.Addr()}, info
+}
+
+// pickLender scans the shards for the globally oldest lendable idle
+// instance: classified lenders first, neutrals only when no lender has
+// one, ties to the lower shard name. It reports the candidate, its
+// shard and pass; with no candidate, denied reports that shards were
+// refused by policy and none was compatible. Each shard is locked only
+// while it is inspected.
+func (g *Gateway) pickLender(renter *shard, rc sharing.Candidate, shards []*shard, now time.Time) (from *shard, cand *instance, lenders, denied bool) {
+	sawDenial, sawCompatible := false, false
+	for _, lenders = range [2]bool{true, false} {
+		for _, s := range shards {
+			if s == renter {
+				continue
+			}
+			s.mu.Lock()
+			inst, verdict := g.lendableLocked(s, rc, lenders, now)
+			s.mu.Unlock()
+			sawDenial = sawDenial || verdict == lendDenied
+			sawCompatible = sawCompatible || verdict == lendCompatible
+			if inst == nil {
+				continue
+			}
+			if cand == nil || inst.idleSince.Before(cand.idleSince) ||
+				(inst.idleSince.Equal(cand.idleSince) && s.name < from.name) {
+				from, cand = s, inst
+			}
+		}
+		if cand != nil {
+			return from, cand, lenders, false
+		}
+	}
+	return nil, nil, false, sawDenial && !sawCompatible
+}
+
+// lendVerdict is how one shard took part in a lender-scan pass.
+type lendVerdict uint8
+
+const (
+	lendSkipped    lendVerdict = iota // not in this pass (or a renter)
+	lendDenied                        // policy-incompatible with the renter
+	lendCompatible                    // compatible, whether or not it can lend now
+)
+
+// lendableLocked returns the instance s can lend in one scan pass
+// (lenders: classified lenders, else neutral shards), or nil, with the
+// shard's verdict. The candidate is s's oldest idle instance, untainted,
+// idle for at least the grace, and above the shard's reserve: a neutral
+// shard keeps its own forecast's worth of warm instances, a classified
+// lender has demonstrably more than it needs and reserves nothing.
+// Caller holds s.mu.
+func (g *Gateway) lendableLocked(s *shard, rc sharing.Candidate, lenders bool, now time.Time) (*instance, lendVerdict) {
+	role := s.ctl.share.Role()
+	if role == sharing.RoleRenter || lenders != (role == sharing.RoleLender) {
+		return nil, lendSkipped
+	}
+	if ok, _ := g.share.policy.Compatible(rc, candidateOf(s.fn)); !ok {
+		return nil, lendDenied
+	}
+	reserve := 0
+	if !lenders {
+		reserve = int(math.Ceil(s.ctl.forecast))
+	}
+	if len(s.idle) <= reserve {
+		return nil, lendCompatible
+	}
+	inst := s.idle[0] // oldest: reuse pops from the tail
+	if inst.tainted.Load() || now.Sub(inst.idleSince) < g.share.idleGrace {
+		return nil, lendCompatible
+	}
+	return inst, lendCompatible
 }
 
 // shareRoleTransition updates the lender/renter population counters

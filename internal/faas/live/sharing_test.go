@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hotc/internal/image"
 	"hotc/internal/sharing"
 )
 
@@ -443,4 +444,190 @@ func TestLeaseNoCandidateBesideIncompatibleShard(t *testing.T) {
 	if d := after.LeasesDenied - before.LeasesDenied; d != 0 {
 		t.Fatalf("LeasesDenied +%d, want +0", d)
 	}
+}
+
+// The lender scan takes the globally oldest eligible idle instance,
+// ties to the lower shard name — never whichever shard map iteration
+// reaches first. Each round stocks four neutral same-image shards with
+// one idle instance of a known age on a fresh gateway and checks which
+// shard the renter's lease emptied.
+func TestLeaseTakesGloballyOldestInstance(t *testing.T) {
+	lenders := []string{"l0", "l1", "l2", "l3"}
+	for _, tc := range []struct {
+		ages []time.Duration // idle age per lender, in lenders order
+		want string
+	}{
+		{[]time.Duration{1 * time.Second, 3 * time.Second, 2 * time.Second, 0}, "l1"},
+		{[]time.Duration{2 * time.Second, 1 * time.Second, 0, 4 * time.Second}, "l3"},
+		{[]time.Duration{5 * time.Second, 1 * time.Second, 5 * time.Second, 2 * time.Second}, "l0"},
+		{[]time.Duration{0, 6 * time.Second, 1 * time.Second, 6 * time.Second}, "l1"},
+	} {
+		t.Run(tc.want, func(t *testing.T) {
+			// The hour-long grace keeps each lender's stocking request
+			// from renting its neighbour's instance; the ages set below
+			// all lie past it.
+			g := NewGateway(true)
+			cfg := testSharing()
+			cfg.IdleGrace = time.Hour
+			g.EnableSharing(cfg)
+			for _, n := range append([]string{"renter"}, lenders...) {
+				if err := g.Register(echoFn(n, 2*time.Millisecond)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer g.Stop()
+			for _, n := range lenders {
+				postRec(t, g, n, "warm")
+			}
+			base := time.Now()
+			for i, n := range lenders {
+				s := g.shard(n)
+				s.mu.Lock()
+				if len(s.idle) != 1 {
+					s.mu.Unlock()
+					t.Fatalf("%s holds %d idle instances, want 1", n, len(s.idle))
+				}
+				s.idle[0].idleSince = base.Add(-cfg.IdleGrace - tc.ages[i])
+				s.mu.Unlock()
+			}
+			if rec := postRec(t, g, "renter", "b"); rec.Header().Get(BootHeader) != "rented" {
+				t.Fatalf("boot = %q, want rented", rec.Header().Get(BootHeader))
+			}
+			for _, n := range lenders {
+				want := 1
+				if n == tc.want {
+					want = 0
+				}
+				if got := g.WarmInstances(n); got != want {
+					t.Errorf("%s keeps %d idle instances, want %d (the oldest is %s's)", n, got, want, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// ladderFn is a same-image function for the cost-ordered ladder tests:
+// 20ms ColdStart split 55/30/15, so a generic handoff's full pull is
+// 11ms against testSharing's 1ms wipe.
+func ladderFn(name string) Function {
+	fn := echoFn(name, 20*time.Millisecond)
+	fn.Image = "python:3.8"
+	return fn
+}
+
+// checkLadderAccounting asserts the identities every ladder path keeps:
+// each request is one reuse or one cold start, and each granted lease
+// is one rented boot.
+func checkLadderAccounting(t *testing.T, g *Gateway) {
+	t.Helper()
+	st, sh := g.Stats(), g.SharingStats()
+	if st.Reused+st.ColdStarts != st.Requests {
+		t.Errorf("Reused(%d) + ColdStarts(%d) != Requests(%d)", st.Reused, st.ColdStarts, st.Requests)
+	}
+	if int(sh.LeasesGranted) != st.RentedBoots {
+		t.Errorf("LeasesGranted(%d) != RentedBoots(%d)", sh.LeasesGranted, st.RentedBoots)
+	}
+}
+
+// When a generic handoff costs no more than a lease — no image, or a
+// warm layer cache, so the generic pays no pull while the lease pays
+// the wipe — a warm miss takes the ready generic, and the function
+// whose idle instance would have been lent still finds it warm.
+func TestGenericBeforeLeaseWhenNoDearer(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  ColdPathConfig
+		fn   func(string) Function
+	}{
+		{"no image", ColdPathConfig{Prefork: true, PreforkSize: 1},
+			func(n string) Function { return echoFn(n, 20*time.Millisecond) }},
+		{"warm layer cache", ColdPathConfig{Prefork: true, PreforkSize: 1,
+			Registry: image.StandardCatalog(), Cache: image.NewCache()}, ladderFn},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := NewGateway(true)
+			g.EnableColdPath(tc.cfg)
+			g.EnableSharing(testSharing())
+			for _, n := range []string{"lender", "renter"} {
+				if err := g.Register(tc.fn(n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer g.Stop()
+			g.refillPrefork()
+			waitIdleGenerics(t, g, 1)
+			// The lender's boot also admits the image's layers.
+			postRec(t, g, "lender", "a")
+			waitIdleGenerics(t, g, 1)
+
+			rec := postRec(t, g, "renter", "b")
+			if got := rec.Header().Get(BootHeader); got != "generic" {
+				t.Fatalf("renter's first boot = %q, want generic (no dearer than a lease)", got)
+			}
+			if rec := postRec(t, g, "lender", "c"); rec.Header().Get("X-Hotc-Reused") != "true" {
+				t.Fatalf("lender's next request: X-Hotc-Reused = %q, want true (its instance was not lent)",
+					rec.Header().Get("X-Hotc-Reused"))
+			}
+			if sh := g.SharingStats(); sh.LeasesGranted != 0 {
+				t.Fatalf("LeasesGranted = %d, want 0", sh.LeasesGranted)
+			}
+			checkLadderAccounting(t, g)
+		})
+	}
+}
+
+// The lease still goes first when it is strictly cheaper — the layer
+// cache is off, so the generic would pay the 11ms pull against the
+// lease's 1ms wipe — and the generic stays in the pool.
+func TestLeaseBeforeGenericWhenCheaper(t *testing.T) {
+	g := NewGateway(true)
+	g.EnableColdPath(ColdPathConfig{Prefork: true, PreforkSize: 1, Registry: image.StandardCatalog()})
+	g.EnableSharing(testSharing())
+	for _, n := range []string{"lender", "renter"} {
+		if err := g.Register(ladderFn(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer g.Stop()
+	g.refillPrefork()
+	waitIdleGenerics(t, g, 1)
+	postRec(t, g, "lender", "a")
+	waitIdleGenerics(t, g, 1)
+
+	if rec := postRec(t, g, "renter", "b"); rec.Header().Get(BootHeader) != "rented" {
+		t.Fatalf("renter's first boot = %q, want rented (cheaper than the generic's pull)", rec.Header().Get(BootHeader))
+	}
+	if n := g.cold.pool.Idle(); n != 1 {
+		t.Fatalf("generic idle = %d, want 1 (the lease must not consume a generic)", n)
+	}
+	checkLadderAccounting(t, g)
+}
+
+// With the generic pool empty (its one generic still booting) the miss
+// falls through to the lease, exactly as before the cost order.
+func TestLeaseWhenGenericPoolEmpty(t *testing.T) {
+	g := NewGateway(true)
+	g.EnableColdPath(ColdPathConfig{Prefork: true, PreforkSize: 1, PreforkBoot: 400 * time.Millisecond})
+	g.EnableSharing(testSharing())
+	for _, n := range []string{"lender", "renter"} {
+		if err := g.Register(echoFn(n, 20*time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer g.Stop()
+	// The lender's miss finds nothing to take, starts the refill and
+	// pays the full cold boot; the refill is still booting after it.
+	if rec := postRec(t, g, "lender", "a"); rec.Header().Get(BootHeader) != "cold" {
+		t.Fatalf("lender's first boot = %q, want cold", rec.Header().Get(BootHeader))
+	}
+	if rec := postRec(t, g, "renter", "b"); rec.Header().Get(BootHeader) != "rented" {
+		t.Fatalf("renter's first boot = %q, want rented (no generic ready)", rec.Header().Get(BootHeader))
+	}
+	if st := g.ColdPathStats(); st.GenericIdle != 0 || st.GenericBooting != 1 {
+		t.Fatalf("generic pool idle=%d booting=%d, want 0 and 1", st.GenericIdle, st.GenericBooting)
+	}
+	if st := g.Stats(); st.GenericHandoffs != 0 || st.RentedBoots != 1 {
+		t.Fatalf("stats = %+v, want 1 rented boot and no generic handoff", st)
+	}
+	checkLadderAccounting(t, g)
 }

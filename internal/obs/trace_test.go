@@ -32,7 +32,7 @@ func TestParseTraceparentStrictness(t *testing.T) {
 		// Future versions must parse as long as the 00 layout holds,
 		// including ones extended with new dash-separated fields.
 		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
-		valid + "-extrafield",
+		"cc" + valid[2:] + "-extrafield",
 	}
 	for _, s := range accept {
 		if _, ok := ParseTraceparent(s); !ok {
@@ -43,6 +43,7 @@ func TestParseTraceparentStrictness(t *testing.T) {
 		"",
 		valid[:54],             // truncated
 		valid + "x",            // extension without separator
+		valid + "-extrafield",  // version 00 has exactly four fields
 		strings.ToUpper(valid), // uppercase hex is invalid per spec
 		"ff" + valid[2:],       // version ff reserved
 		"00-" + strings.Repeat("0", 32) + "-00f067aa0ba902b7-01",  // zero trace ID

@@ -37,31 +37,33 @@ const traceparentLen = 55
 // per the spec: exact length, lowercase hex only, version ff and
 // all-zero IDs rejected. Future versions (01..fe) are accepted as
 // long as their first four fields match the version-00 layout, which
-// the spec requires. The zero value and false come back for anything
-// malformed, so a bad header silently degrades to "start a new
-// trace" instead of failing the request.
+// the spec requires, and may carry further dash-separated fields; a
+// version-00 value must be exactly the four fields. The zero value
+// and false come back for anything malformed, so a bad header
+// silently degrades to "start a new trace" instead of failing the
+// request.
 func ParseTraceparent(s string) (TraceContext, bool) {
 	var tc TraceContext
 	if len(s) < traceparentLen {
-		return tc, false
-	}
-	if len(s) > traceparentLen && s[traceparentLen] != '-' {
-		return tc, false // longer forms must extend with a new field
-	}
-	s = s[:traceparentLen]
-	if s[2] != '-' || s[35] != '-' || s[52] != '-' {
 		return tc, false
 	}
 	ver, ok := hexByte(s[0], s[1])
 	if !ok || ver == 0xff {
 		return tc, false
 	}
-	if !hexDecode(tc.TraceID[:], s[3:35]) || !hexDecode(tc.SpanID[:], s[36:52]) {
+	if len(s) > traceparentLen && (ver == 0 || s[traceparentLen] != '-') {
+		return tc, false // only future versions extend, with a new field
+	}
+	s = s[:traceparentLen]
+	if s[2] != '-' || s[35] != '-' || s[52] != '-' {
 		return tc, false
+	}
+	if !hexDecode(tc.TraceID[:], s[3:35]) || !hexDecode(tc.SpanID[:], s[36:52]) {
+		return TraceContext{}, false // a partial decode must not leak out
 	}
 	flags, ok := hexByte(s[53], s[54])
 	if !ok {
-		return tc, false
+		return TraceContext{}, false
 	}
 	tc.Flags = flags
 	if !tc.Valid() {

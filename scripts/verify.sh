@@ -169,6 +169,53 @@ echo "   rented boot: ${RENT_MS}ms (full cold is 400ms)"
 kill "$HOTCD_PID" 2>/dev/null || true
 wait "$HOTCD_PID" 2>/dev/null || true
 HOTCD_PID=""
+echo "== prefork+sharing smoke (a ready generic goes before a lease that is no cheaper)"
+# Same two functions with the generic pool armed too. Without an image
+# a generic handoff pays only app init, while a lease pays the volume
+# wipe on top, so the renter's first request must take a generic
+# (X-Hotc-Boot: generic) and the lender's idle instance must stay with
+# the lender (its next request answers X-Hotc-Reused: true).
+"$LOADTMP/hotcd" -addr 127.0.0.1:0 -prefork -share -share-idle-grace 100ms -preload=false \
+	>"$LOADTMP/prefork-share.log" 2>&1 &
+HOTCD_PID=$!
+BASE=""
+i=0
+while [ $i -lt 50 ]; do
+	BASE="$(sed -n 's/^hotcd listening on //p' "$LOADTMP/prefork-share.log" | head -n 1)"
+	[ -n "$BASE" ] && break
+	i=$((i + 1))
+	sleep 0.1
+done
+if [ -z "$BASE" ]; then
+	echo "verify: prefork+sharing hotcd did not come up" >&2
+	cat "$LOADTMP/prefork-share.log" >&2
+	exit 1
+fi
+curl -sf -X POST "$BASE/system/functions" \
+	-d '{"name":"lender","handler":"upper","coldStartMs":400}' >/dev/null
+curl -sf -X POST "$BASE/system/functions" \
+	-d '{"name":"renter","handler":"upper","coldStartMs":400}' >/dev/null
+sleep 0.5 # let the generic pool finish its prefill (120ms boots)
+curl -sf -X POST "$BASE/function/lender" -d 'warmup' >/dev/null
+sleep 0.3 # let the lender's instance age past the 100ms idle grace
+curl -sf -D "$LOADTMP/prefork-share-headers" -o /dev/null \
+	-X POST "$BASE/function/renter" -d 'smoke'
+grep -qi '^x-hotc-boot: generic' "$LOADTMP/prefork-share-headers" || {
+	echo "verify: renter's first request did not take a ready generic" >&2
+	cat "$LOADTMP/prefork-share-headers" >&2
+	exit 1
+}
+curl -sf -D "$LOADTMP/prefork-share-lender" -o /dev/null \
+	-X POST "$BASE/function/lender" -d 'again'
+grep -qi '^x-hotc-reused: true' "$LOADTMP/prefork-share-lender" || {
+	echo "verify: lender's idle instance was lent instead of kept warm" >&2
+	cat "$LOADTMP/prefork-share-lender" >&2
+	exit 1
+}
+echo "   renter took a generic; lender reused its own instance"
+kill "$HOTCD_PID" 2>/dev/null || true
+wait "$HOTCD_PID" 2>/dev/null || true
+HOTCD_PID=""
 echo "== router smoke (hotc-router + 2 hotcd: routed request round-trips with trace headers)"
 # Boot a two-node cluster behind the router and drive one traced
 # request through it: the response must come back 200 with the
